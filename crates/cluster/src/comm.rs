@@ -114,9 +114,9 @@ pub trait RankComm<T: Send + 'static> {
     /// for any `T`).
     ///
     /// Like `barrier`, a vote is control traffic, not payload traffic:
-    /// only its blocking wall time is charged to [`CommStats`], so the
-    /// accounting of a cancellable schedule stays identical to the plain
-    /// one.
+    /// only its blocking wall time is charged to [`CommStats`], so the votes
+    /// at a schedule's checkpoints leave its byte and message counts
+    /// unchanged.
     fn vote_any(&mut self, flag: bool) -> bool;
 
     /// All-to-all-v: `send_bufs[i]` goes to rank `i`; returns `recv[i]` =
@@ -331,8 +331,7 @@ impl<T: Send + 'static> RankComm<T> for LocalComm<T> {
     /// Gather–release OR through rank 0 on the [`VOTE_NS`] namespace. The
     /// control frames are not payload traffic: stats are restored to their
     /// pre-vote values and only the blocking wall time is charged, exactly
-    /// like `barrier`, so cancellable and plain schedules account
-    /// identically.
+    /// like `barrier`.
     fn vote_any(&mut self, flag: bool) -> bool {
         if self.size == 1 {
             return flag;

@@ -15,13 +15,12 @@
 //! comparison isolates the effect of the execution schedule.
 
 use crate::dist::{aggregate_outcomes, DistState, PreparedGate, RankOutcome};
-use crate::exec::{ExecControl, StepGate};
+use crate::exec::ExecControl;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
 use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_statevec::{
-    CancelToken, Cancelled, FusedCircuit, FusionStrategy, KernelDispatch, StateVector,
-    DEFAULT_FUSION_WIDTH,
+    Cancelled, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::time::Instant;
 
@@ -83,7 +82,7 @@ impl BaselineConfig {
     }
 }
 
-/// One step of the baseline's precomputed schedule, shared by all ranks.
+/// One step of a [`BaselinePlan`].
 enum BaselineStep {
     /// A maximal run of gates that are purely local under the static
     /// (identity) layout, fused into one pipeline.
@@ -93,37 +92,62 @@ enum BaselineStep {
     Distributed(PreparedGate),
 }
 
-/// Split the circuit into fused local segments and per-gate distributed
-/// steps. Under the baseline's static mapping, qubits `0..l` are local on
-/// every rank and the layout is the identity at every step boundary, so the
-/// split is a pure function of the circuit — computed once, shared by all
-/// ranks.
-fn plan_baseline_steps(
-    circuit: &Circuit,
-    local_qubits: usize,
-    fusion: usize,
-    strategy: FusionStrategy,
-) -> Vec<BaselineStep> {
-    let mut steps = Vec::new();
-    let mut segment = Circuit::new(circuit.num_qubits());
-    let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
-        if !segment.is_empty() {
-            let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
-            steps.push(BaselineStep::LocalFused(FusedCircuit::with_strategy(
-                &gates, fusion, strategy,
-            )));
+/// The baseline's step schedule for one world size: the circuit split into
+/// fused local segments and per-gate distributed steps. Under the static
+/// mapping, qubits `0..l` are local on every rank and the layout is the
+/// identity at every step boundary, so the split is a pure function of the
+/// circuit and the rank count. The in-process engine builds it once and
+/// shares it read-only with every rank; each worker process builds the
+/// identical schedule from the shipped circuit.
+pub struct BaselinePlan {
+    num_qubits: usize,
+    num_gates: u64,
+    num_ranks: usize,
+    steps: Vec<BaselineStep>,
+}
+
+impl BaselinePlan {
+    /// Split `circuit` for a world of `num_ranks` ranks (a power of two),
+    /// fusing each local segment at width `fusion` with `strategy`. A
+    /// `fusion` of 0 makes every gate its own distributed step.
+    pub fn build(
+        circuit: &Circuit,
+        num_ranks: usize,
+        fusion: usize,
+        strategy: FusionStrategy,
+    ) -> Self {
+        assert!(
+            num_ranks.is_power_of_two(),
+            "rank count must be a power of two"
+        );
+        let p = num_ranks.trailing_zeros() as usize;
+        let local_qubits = circuit.num_qubits().saturating_sub(p);
+        let mut steps = Vec::new();
+        let mut segment = Circuit::new(circuit.num_qubits());
+        let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
+            if !segment.is_empty() {
+                let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
+                steps.push(BaselineStep::LocalFused(FusedCircuit::with_strategy(
+                    &gates, fusion, strategy,
+                )));
+            }
+        };
+        for gate in circuit.gates() {
+            if fusion > 0 && gate.qubits.iter().all(|&q| q < local_qubits) {
+                segment.push(gate.clone());
+            } else {
+                flush(&mut segment, &mut steps);
+                steps.push(BaselineStep::Distributed(PreparedGate::new(gate)));
+            }
         }
-    };
-    for gate in circuit.gates() {
-        if fusion > 0 && gate.qubits.iter().all(|&q| q < local_qubits) {
-            segment.push(gate.clone());
-        } else {
-            flush(&mut segment, &mut steps);
-            steps.push(BaselineStep::Distributed(PreparedGate::new(gate)));
+        flush(&mut segment, &mut steps);
+        Self {
+            num_qubits: circuit.num_qubits(),
+            num_gates: circuit.num_gates() as u64,
+            num_ranks,
+            steps,
         }
     }
-    flush(&mut segment, &mut steps);
-    steps
 }
 
 /// Result of a baseline run.
@@ -149,142 +173,78 @@ impl IqsBaseline {
 
     /// Run `circuit` from `|0…0⟩` across the virtual ranks: fused pipelines
     /// for the communication-free runs, the per-gate distributed special
-    /// cases everywhere else. The schedule (with its fused matrices) is
-    /// computed once and shared by every rank.
+    /// cases everywhere else.
     pub fn run(&self, circuit: &Circuit) -> BaselineRun {
         self.run_controlled(circuit, &ExecControl::default())
             .expect("an inert control cannot cancel")
     }
 
-    /// [`IqsBaseline::run`] under an [`ExecControl`]: a [`StepGate`] keeps
-    /// the per-rank cancel/continue decisions consistent before every
-    /// schedule step (fused local segment or distributed gate — the
-    /// latter's exchanges are the collective boundary), so a cancelled run
-    /// drains without deadlock; rank 0 reports gate-level progress.
+    /// [`IqsBaseline::run`] under an [`ExecControl`]: every virtual rank runs
+    /// [`run_baseline_rank`], so a cancelled run stops all ranks at the same
+    /// schedule step.
     pub fn run_controlled(
         &self,
         circuit: &Circuit,
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
-        assert!(
-            self.config.num_ranks.is_power_of_two(),
-            "rank count must be a power of two"
-        );
-        let p = self.config.num_ranks.trailing_zeros() as usize;
-        let local_qubits = circuit.num_qubits().saturating_sub(p);
-        let steps = plan_baseline_steps(
+        let plan = BaselinePlan::build(
             circuit,
-            local_qubits,
+            self.config.num_ranks,
             self.config.fusion,
             self.config.fusion_strategy,
         );
-        let total_gates: u64 = steps
-            .iter()
-            .map(|s| match s {
-                BaselineStep::LocalFused(fused) => fused.source_gates() as u64,
-                BaselineStep::Distributed(_) => 1,
-            })
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
         let start = Instant::now();
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
-            self.config.num_ranks,
-            self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                let mut gates_done = 0u64;
-                for (index, step) in steps.iter().enumerate() {
-                    if step_gate.cancelled_at(index) {
-                        return None;
-                    }
-                    match step {
-                        BaselineStep::LocalFused(fused) => {
-                            state.apply_fused_local(fused);
-                            gates_done += fused.source_gates() as u64;
-                        }
-                        BaselineStep::Distributed(gate) => {
-                            apply_prepared_gate_distributed(&mut state, gate);
-                            gates_done += 1;
-                        }
-                    }
-                    if state.rank() == 0 {
-                        control.report_progress(gates_done, total_gates);
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
+        let outcomes = run_spmd(self.config.num_ranks, self.config.network, |mut comm| {
+            run_baseline_rank(&mut comm, &plan, self.config.kernel_dispatch, control, None)
+        });
+        let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         let wall = start.elapsed().as_secs_f64();
         let (state, report) = aggregate_outcomes("iqs-baseline", "-", circuit, 1, outcomes, wall);
         Ok(BaselineRun { state, report })
     }
 }
 
-/// Execute one rank of the IQS-style baseline against `comm` — the SPMD
-/// body shared by the in-process engine and `hisvsim-net`'s remote process
-/// workers. The step schedule is a pure function of the circuit, so every
-/// rank (thread or process) derives the identical schedule independently.
+/// Execute one rank of the IQS-style baseline plan against `comm` — the
+/// SPMD body shared by the in-process engine and `hisvsim-net`'s remote
+/// process workers. `plan` must be built for `comm`'s world size.
+///
+/// The ranks hold a cancel vote ([`DistState::vote_cancelled`]) before
+/// every step, so a fired token stops all ranks at the same step boundary
+/// without stranding any rank inside a collective (a distributed gate's
+/// exchanges are the collective boundary). Rank 0 reports gate-level
+/// progress after each step. `recycled` optionally reuses a previous run's
+/// local-slice allocation.
 pub fn run_baseline_rank<C: RankComm<Complex64>>(
     comm: &mut C,
-    circuit: &Circuit,
-    fusion: usize,
-    strategy: FusionStrategy,
+    plan: &BaselinePlan,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    assert!(
-        comm.size().is_power_of_two(),
-        "rank count must be a power of two"
-    );
-    let p = comm.size().trailing_zeros() as usize;
-    let local_qubits = circuit.num_qubits().saturating_sub(p);
-    let steps = plan_baseline_steps(circuit, local_qubits, fusion, strategy);
-    let mut state = DistState::new(comm, circuit.num_qubits());
-    state.set_kernel_dispatch(dispatch);
-    for step in &steps {
-        match step {
-            BaselineStep::LocalFused(fused) => state.apply_fused_local(fused),
-            BaselineStep::Distributed(gate) => apply_prepared_gate_distributed(&mut state, gate),
-        }
-    }
-    state.finish_rank()
-}
-
-/// [`run_baseline_rank`] with cooperative cancellation: the ranks run a
-/// cancel vote before every step (the same checkpoint placement the
-/// in-process engine's `StepGate` uses), so a fired [`CancelToken`] stops
-/// all ranks at the same step boundary without stranding any rank inside
-/// a collective. `recycled` optionally reuses a previous run's local-slice
-/// allocation.
-pub fn run_baseline_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    circuit: &Circuit,
-    fusion: usize,
-    strategy: FusionStrategy,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
-    assert!(
-        comm.size().is_power_of_two(),
-        "rank count must be a power of two"
+    assert_eq!(
+        comm.size(),
+        plan.num_ranks,
+        "baseline plan built for a different world size"
     );
-    let p = comm.size().trailing_zeros() as usize;
-    let local_qubits = circuit.num_qubits().saturating_sub(p);
-    let steps = plan_baseline_steps(circuit, local_qubits, fusion, strategy);
-    let mut state = DistState::new_reusing(comm, circuit.num_qubits(), recycled);
+    let mut state = DistState::new_reusing(comm, plan.num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
-    for step in &steps {
-        if state.vote_cancelled(cancel) {
+    let mut gates_done = 0u64;
+    for step in &plan.steps {
+        if state.vote_cancelled(&control.cancel) {
             return Err(Cancelled);
         }
         match step {
-            BaselineStep::LocalFused(fused) => state.apply_fused_local(fused),
-            BaselineStep::Distributed(gate) => apply_prepared_gate_distributed(&mut state, gate),
+            BaselineStep::LocalFused(fused) => {
+                state.apply_fused_local(fused);
+                gates_done += fused.source_gates() as u64;
+            }
+            BaselineStep::Distributed(gate) => {
+                apply_prepared_gate_distributed(&mut state, gate);
+                gates_done += 1;
+            }
+        }
+        if state.rank() == 0 {
+            control.report_progress(gates_done, plan.num_gates);
         }
     }
     Ok(state.finish_rank())

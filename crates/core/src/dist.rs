@@ -12,7 +12,7 @@
 //! The same [`DistState`] machinery backs the IQS-style baseline
 //! ([`crate::baseline`]) and the multi-level engine ([`crate::multilevel`]).
 
-use crate::exec::{ExecControl, StepGate};
+use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedSinglePlan};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, UnitaryMatrix};
@@ -497,50 +497,47 @@ pub fn aggregate_outcomes(
 
 /// Execute one rank of a prefused single-level plan against `comm` — the
 /// SPMD body shared by the in-process engine
-/// ([`DistributedSimulator::run_with_fused_plan`]) and `hisvsim-net`'s
-/// remote process workers. The arithmetic and communication schedule are
-/// identical on every [`RankComm`] implementation, so a process-backed run
-/// is bit-identical to the channel-world run of the same plan.
+/// ([`DistributedSimulator::run_with_fused_plan_controlled`]) and
+/// `hisvsim-net`'s remote process workers. The arithmetic and communication
+/// schedule are identical on every [`RankComm`] implementation, so a
+/// process-backed run is bit-identical to the channel-world run of the same
+/// plan.
+///
+/// Before every part the ranks hold a cancel vote
+/// ([`DistState::vote_cancelled`]), so a token fired on any rank stops
+/// *all* ranks at the same part boundary: cancel latency is bounded by one
+/// part's duration, and no rank is stranded inside a collective. The vote
+/// is charged like a barrier (wall time only), so an uncancelled run
+/// reports the same bytes and messages whatever its control. Rank 0
+/// reports `(gates_done, gates_total)` after each part. `recycled`
+/// optionally reuses a previous run's local-slice allocation (see
+/// [`DistState::new_reusing`]).
 pub fn run_fused_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
     plan: &FusedSinglePlan,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    let mut state = DistState::new(comm, num_qubits);
-    state.set_kernel_dispatch(dispatch);
-    for part in &plan.parts {
-        state.ensure_local(&part.working_set);
-        state.apply_fused_part(part);
-    }
-    state.finish_rank()
-}
-
-/// [`run_fused_plan_rank`] with cooperative cancellation: before every
-/// part the ranks run a cancel vote ([`DistState::vote_cancelled`]), so a
-/// [`CancelToken`] fired on any rank stops *all* ranks at the same part
-/// boundary — cancel latency is bounded by one part's duration, and no
-/// rank is ever stranded inside a collective. `recycled` optionally reuses
-/// a previous run's local-slice allocation (see
-/// [`DistState::new_reusing`]). The vote is charged like a barrier (wall
-/// time only), so an uncancelled run reports the same [`CommStats`] as
-/// the plain body.
-pub fn run_fused_plan_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    num_qubits: usize,
-    plan: &FusedSinglePlan,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
+    let total_gates: u64 = plan
+        .parts
+        .iter()
+        .map(|p| p.inner.source_gates() as u64)
+        .sum();
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
+    let mut gates_done = 0u64;
     for part in &plan.parts {
-        if state.vote_cancelled(cancel) {
+        if state.vote_cancelled(&control.cancel) {
             return Err(Cancelled);
         }
         state.ensure_local(&part.working_set);
         state.apply_fused_part(part);
+        gates_done += part.inner.source_gates() as u64;
+        if state.rank() == 0 {
+            control.report_progress(gates_done, total_gates);
+        }
     }
     Ok(state.finish_rank())
 }
@@ -663,13 +660,6 @@ impl DistributedSimulator {
         Ok(self.run_with_partition(circuit, &dag, partition))
     }
 
-    /// Run `circuit` against a precomputed partition *plan* (e.g. one served
-    /// by the runtime's plan cache), rebuilding only the DAG.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &Partition) -> DistRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
     /// Run with an externally supplied (validated) partition. Fuses each
     /// part's inner circuit once — shared by every virtual rank — unless
     /// `config.fusion` is 0.
@@ -744,10 +734,8 @@ impl DistributedSimulator {
     }
 
     /// [`DistributedSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: a [`StepGate`] lets every virtual rank observe the
-    /// same cancel/continue decision before each part switch (the engine's
-    /// collective boundary), so a cancelled run drains without deadlock;
-    /// rank 0 reports `(gates_done, gates_total)` after each part.
+    /// [`ExecControl`]: every virtual rank runs [`run_fused_plan_rank`], so
+    /// a cancelled run stops all ranks at the same part boundary.
     pub fn run_with_fused_plan_controlled(
         &self,
         circuit: &Circuit,
@@ -755,38 +743,18 @@ impl DistributedSimulator {
         control: &ExecControl,
     ) -> Result<DistRun, Cancelled> {
         let start = Instant::now();
-        let total_gates: u64 = plan
-            .parts
-            .iter()
-            .map(|p| p.inner.source_gates() as u64)
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
-            self.config.num_ranks,
-            self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                let mut gates_done = 0u64;
-                for (step, part) in plan.parts.iter().enumerate() {
-                    if step_gate.cancelled_at(step) {
-                        return None;
-                    }
-                    state.ensure_local(&part.working_set);
-                    state.apply_fused_part(part);
-                    gates_done += part.inner.source_gates() as u64;
-                    if state.rank() == 0 {
-                        control.report_progress(gates_done, total_gates);
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        // The StepGate guarantees agreement: all ranks completed, or none.
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
+        let outcomes = run_spmd(self.config.num_ranks, self.config.network, |mut comm| {
+            run_fused_plan_rank(
+                &mut comm,
+                circuit.num_qubits(),
+                plan,
+                self.config.kernel_dispatch,
+                control,
+                None,
+            )
+        });
+        // The cancel vote guarantees agreement: all ranks completed, or none.
+        let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         let wall = start.elapsed().as_secs_f64();
         let (state, report) = aggregate_outcomes(
             "dist",

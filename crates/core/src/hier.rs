@@ -130,16 +130,6 @@ impl HierarchicalSimulator {
         Ok(self.run_with_partition(circuit, &dag, partition))
     }
 
-    /// Run `circuit` against a precomputed partition *plan* (e.g. one served
-    /// by the runtime's plan cache), rebuilding only the DAG — which is cheap
-    /// next to partitioning. The plan must belong to this circuit's
-    /// structure; [`Partition::validate`] is the caller's tool when the plan
-    /// comes from an untrusted source.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &Partition) -> HierRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
     /// Run `circuit` with an externally supplied partition (used by the
     /// benchmark harness to reuse one partition across repetitions). Fuses
     /// each part's inner circuit first unless `config.fusion` is 0.
@@ -283,20 +273,6 @@ pub fn execute_part(
     .expect("uncancellable sweep cannot abort");
 }
 
-/// Execute one prefused part via Gather–Execute–Scatter: the same sweep as
-/// [`execute_part`], but the inner circuit is already fused (one pass per
-/// fused op instead of per gate) and the parallel path reuses one inner
-/// buffer per chunk of assignments instead of allocating per assignment.
-pub fn execute_part_fused(
-    outer: &mut StateVector,
-    part: &FusedPart,
-    parallel: bool,
-    dispatch: KernelDispatch,
-) {
-    execute_part_fused_controlled(outer, part, parallel, dispatch, None)
-        .expect("uncancellable sweep cannot abort");
-}
-
 /// Per-sweep control plumbing: the cancel token polled between gather
 /// assignments, plus an optional throttled assignment-progress callback
 /// called with `(assignments_done, assignments_total)` — at most ~32 times
@@ -308,10 +284,14 @@ pub struct SweepControl<'a> {
     pub on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
 }
 
-/// [`execute_part_fused`] with an optional [`SweepControl`]: the cancel
-/// token is polled between gather assignments and assignment progress is
-/// reported through the control. On cancellation the outer vector is left
-/// partially updated — the caller abandons it.
+/// Execute one prefused part via Gather–Execute–Scatter: the same sweep as
+/// [`execute_part`], but the inner circuit is already fused (one pass per
+/// fused op instead of per gate) and the parallel path reuses one inner
+/// buffer per chunk of assignments instead of allocating per assignment.
+/// With a [`SweepControl`], the cancel token is polled between gather
+/// assignments and assignment progress is reported through the control. On
+/// cancellation the outer vector is left partially updated — the caller
+/// abandons it.
 pub fn execute_part_fused_controlled(
     outer: &mut StateVector,
     part: &FusedPart,

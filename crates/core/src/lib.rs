@@ -26,9 +26,10 @@
 //! engine auto-selection per job (`EngineSelector`), partition-plan caching
 //! keyed by `Circuit::fingerprint` (`PlanCache`), and a worker pool with a
 //! bounded number of resident state vectors (`Scheduler`). Each engine
-//! exposes a `run_with_plan` entry point so a cached plan skips DAG
-//! partitioning entirely; `run` remains the single-shot path that plans
-//! internally.
+//! exposes a `run_with_fused_plan` entry point (and its `_controlled` form
+//! taking an [`ExecControl`]) so a cached, prefused plan skips DAG
+//! partitioning and fusion entirely; `run` remains the single-shot path
+//! that plans internally.
 //!
 //! ## Example
 //!
@@ -55,20 +56,17 @@ pub mod metrics;
 pub mod multilevel;
 pub mod profile;
 
-pub use baseline::{
-    run_baseline_rank, run_baseline_rank_cancellable, BaselineConfig, BaselineRun, IqsBaseline,
-};
+pub use baseline::{run_baseline_rank, BaselineConfig, BaselinePlan, BaselineRun, IqsBaseline};
 pub use dist::{
-    aggregate_outcomes, prepare_gates, run_fused_plan_rank, run_fused_plan_rank_cancellable,
-    DistConfig, DistRun, DistState, DistributedSimulator, PreparedGate, RankOutcome,
+    aggregate_outcomes, prepare_gates, run_fused_plan_rank, DistConfig, DistRun, DistState,
+    DistributedSimulator, PreparedGate, RankOutcome,
 };
-pub use exec::{ExecControl, StepGate};
+pub use exec::ExecControl;
 pub use fusedplan::{FusedMlPart, FusedPart, FusedSecondPart, FusedSinglePlan, FusedTwoLevelPlan};
 pub use gpu::{estimate_hybrid, GpuModel, HybridEstimate};
 pub use hier::{HierConfig, HierRun, HierarchicalSimulator, SweepControl};
 pub use hisvsim_statevec::{CancelToken, Cancelled};
 pub use metrics::RunReport;
 pub use multilevel::{
-    run_two_level_plan_rank, run_two_level_plan_rank_cancellable, MultilevelConfig, MultilevelRun,
-    MultilevelSimulator,
+    run_two_level_plan_rank, MultilevelConfig, MultilevelRun, MultilevelSimulator,
 };

@@ -10,7 +10,7 @@
 //! against the rank's local slice instead of the whole state.
 
 use crate::dist::{aggregate_outcomes, DistState, RankOutcome};
-use crate::exec::{ExecControl, StepGate};
+use crate::exec::ExecControl;
 use crate::fusedplan::{FusedSecondPart, FusedTwoLevelPlan};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate};
@@ -18,7 +18,7 @@ use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartition, MultilevelPartitioner, PartitionBuildError};
 use hisvsim_statevec::{
-    ApplyOptions, CancelToken, Cancelled, FusionStrategy, GatherMap, KernelDispatch, StateVector,
+    ApplyOptions, Cancelled, FusionStrategy, GatherMap, KernelDispatch, StateVector,
     DEFAULT_FUSION_WIDTH,
 };
 use std::time::Instant;
@@ -125,13 +125,6 @@ impl MultilevelSimulator {
         Ok(self.run_with_partition(circuit, &dag, ml))
     }
 
-    /// Run `circuit` against a precomputed two-level partition *plan* (e.g.
-    /// one served by the runtime's plan cache), rebuilding only the DAG.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &MultilevelPartition) -> MultilevelRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
     /// Run with an externally supplied two-level partition. Fuses each
     /// second-level part once — shared by every virtual rank and every
     /// gather assignment — unless `config.fusion` is 0.
@@ -200,9 +193,7 @@ impl MultilevelSimulator {
             partition: ml,
         }
     }
-}
 
-impl MultilevelSimulator {
     /// Run against a prefused two-level plan: the second-level inner circuits
     /// were fused once at plan time and are shared read-only by every rank
     /// and every gather assignment.
@@ -216,12 +207,8 @@ impl MultilevelSimulator {
     }
 
     /// [`MultilevelSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: a [`StepGate`] keeps every virtual rank's
-    /// cancel/continue decisions consistent at *every* checkpoint — before
-    /// each first-level part switch (the collective boundary) and between
-    /// rank-local second-level parts — so a cancelled run drains without
-    /// deadlock. Rank 0 reports `(gates_done, gates_total)` per
-    /// second-level part.
+    /// [`ExecControl`]: every virtual rank runs [`run_two_level_plan_rank`],
+    /// so a cancelled run stops all ranks at the same checkpoint.
     pub fn run_with_fused_plan_controlled(
         &self,
         circuit: &Circuit,
@@ -229,49 +216,17 @@ impl MultilevelSimulator {
         control: &ExecControl,
     ) -> Result<MultilevelRun, Cancelled> {
         let start = Instant::now();
-        let total_gates: u64 = plan
-            .parts
-            .iter()
-            .flat_map(|p| p.second.iter())
-            .map(|s| s.inner.source_gates() as u64)
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
-            self.config.num_ranks,
-            self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                // Checkpoint numbering walked identically by every rank:
-                // one step per first-level part switch, one per
-                // second-level part.
-                let mut step = 0usize;
-                let mut gates_done = 0u64;
-                for part in &plan.parts {
-                    if step_gate.cancelled_at(step) {
-                        return None;
-                    }
-                    step += 1;
-                    state.ensure_local(&part.working_set);
-                    for second in &part.second {
-                        if step_gate.cancelled_at(step) {
-                            return None;
-                        }
-                        step += 1;
-                        execute_second_level_fused(&mut state, std::slice::from_ref(second));
-                        gates_done += second.inner.source_gates() as u64;
-                        if state.rank() == 0 {
-                            control.report_progress(gates_done, total_gates);
-                        }
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
+        let outcomes = run_spmd(self.config.num_ranks, self.config.network, |mut comm| {
+            run_two_level_plan_rank(
+                &mut comm,
+                circuit.num_qubits(),
+                plan,
+                self.config.kernel_dispatch,
+                control,
+                None,
+            )
+        });
+        let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         let wall = start.elapsed().as_secs_f64();
         let (state, report) = aggregate_outcomes(
             "multilevel",
@@ -291,81 +246,76 @@ impl MultilevelSimulator {
 
 /// Execute one rank of a prefused two-level plan against `comm` — the SPMD
 /// body shared by the in-process engine and `hisvsim-net`'s remote process
-/// workers.
+/// workers. The ranks hold a cancel vote ([`DistState::vote_cancelled`])
+/// before every first-level part switch and before every second-level part,
+/// so a fired token stops all ranks at the same checkpoint without
+/// stranding any rank inside a collective. Rank 0 reports
+/// `(gates_done, gates_total)` after each second-level part. `recycled`
+/// optionally reuses a previous run's local-slice allocation.
 pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
     plan: &FusedTwoLevelPlan,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    let mut state = DistState::new(comm, num_qubits);
-    state.set_kernel_dispatch(dispatch);
-    for part in &plan.parts {
-        state.ensure_local(&part.working_set);
-        execute_second_level_fused(&mut state, &part.second);
-    }
-    state.finish_rank()
-}
-
-/// [`run_two_level_plan_rank`] with cooperative cancellation: the ranks
-/// vote before every first-level part switch and before every second-level
-/// part — the same checkpoint numbering the in-process engine's `StepGate`
-/// walks — so a fired [`CancelToken`] stops all ranks at the same step
-/// without stranding any rank inside a collective. `recycled` optionally
-/// reuses a previous run's local-slice allocation.
-pub fn run_two_level_plan_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    num_qubits: usize,
-    plan: &FusedTwoLevelPlan,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
+    let total_gates: u64 = plan
+        .parts
+        .iter()
+        .flat_map(|p| p.second.iter())
+        .map(|s| s.inner.source_gates() as u64)
+        .sum();
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
+    let mut gates_done = 0u64;
     for part in &plan.parts {
-        if state.vote_cancelled(cancel) {
+        if state.vote_cancelled(&control.cancel) {
             return Err(Cancelled);
         }
         state.ensure_local(&part.working_set);
         for second in &part.second {
-            if state.vote_cancelled(cancel) {
+            if state.vote_cancelled(&control.cancel) {
                 return Err(Cancelled);
             }
-            execute_second_level_fused(&mut state, std::slice::from_ref(second));
+            execute_second_level_fused(&mut state, second);
+            gates_done += second.inner.source_gates() as u64;
+            if state.rank() == 0 {
+                control.report_progress(gates_done, total_gates);
+            }
         }
     }
     Ok(state.finish_rank())
 }
 
-/// Execute prefused second-level parts against the rank's local slice: for
-/// each part, translate its global working set to local positions under the
-/// current layout, then Gather–Execute–Scatter with the shared fused inner
-/// circuit (fused qubit `j` of the plan is inner qubit `j` of the gather by
+/// Execute one prefused second-level part against the rank's local slice:
+/// translate its global working set to local positions under the current
+/// layout, then Gather–Execute–Scatter with the shared fused inner circuit
+/// (fused qubit `j` of the plan is inner qubit `j` of the gather by
 /// construction).
 fn execute_second_level_fused<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
-    second: &[FusedSecondPart],
+    part: &FusedSecondPart,
 ) {
     let start = Instant::now();
     let l = state.local_qubits();
     let opts = ApplyOptions::sequential().with_dispatch(state.kernel_dispatch());
-    let mut working_positions: Vec<usize> = Vec::new();
-    for part in second {
-        working_positions.clear();
-        working_positions.extend(part.working_set.iter().map(|&q| {
+    let working_positions: Vec<usize> = part
+        .working_set
+        .iter()
+        .map(|&q| {
             let pos = state.position(q);
             debug_assert!(pos < l, "second-level part touches a non-local qubit");
             pos
-        }));
-        let map = GatherMap::new(l, &working_positions);
-        let mut inner = StateVector::uninitialized(map.inner_qubits());
-        let local = state.local_state_mut();
-        for assignment in 0..(1usize << map.num_free_qubits()) {
-            map.gather_into(local, assignment, &mut inner);
-            part.inner.apply(&mut inner, &opts);
-            map.scatter(&inner, local, assignment);
-        }
+        })
+        .collect();
+    let map = GatherMap::new(l, &working_positions);
+    let mut inner = StateVector::uninitialized(map.inner_qubits());
+    let local = state.local_state_mut();
+    for assignment in 0..(1usize << map.num_free_qubits()) {
+        map.gather_into(local, assignment, &mut inner);
+        part.inner.apply(&mut inner, &opts);
+        map.scatter(&inner, local, assignment);
     }
     state.add_compute_time(start.elapsed().as_secs_f64());
 }

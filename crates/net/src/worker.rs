@@ -19,9 +19,8 @@ use crate::wire::{recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::RankComm;
 use hisvsim_core::{
-    run_baseline_rank_cancellable, run_fused_plan_rank_cancellable,
-    run_two_level_plan_rank_cancellable, CancelToken, Cancelled, FusedSinglePlan,
-    FusedTwoLevelPlan, RankOutcome,
+    run_baseline_rank, run_fused_plan_rank, run_two_level_plan_rank, BaselinePlan, CancelToken,
+    Cancelled, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
@@ -110,8 +109,8 @@ fn plan_key(job: &ShippedJob) -> u64 {
 /// single dispatch point shared by worker processes (over
 /// [`TcpComm`]) and the in-process reference executor (over
 /// [`LocalComm`](hisvsim_cluster::LocalComm)) — which is what makes the two
-/// runs bit-identical by construction. Runs the cancellable rank bodies
-/// with an inert token, so its schedule (cancel votes included) matches
+/// runs bit-identical by construction. Runs the rank bodies with an inert
+/// token, so its schedule (cancel votes included) matches
 /// [`execute_shipped_rank_controlled`] exactly.
 pub fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
@@ -136,18 +135,13 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     let fusion = job.fusion.max(1);
     let strategy = job.strategy;
     let dispatch = job.dispatch;
+    let control = ExecControl::new().with_cancel(cancel.clone());
     let cancelled = |_: Cancelled| NetError::Cancelled;
     match job.engine {
-        EngineKind::Baseline => run_baseline_rank_cancellable(
-            comm,
-            &job.circuit,
-            fusion,
-            strategy,
-            dispatch,
-            cancel,
-            recycled,
-        )
-        .map_err(cancelled),
+        EngineKind::Baseline => {
+            let plan = BaselinePlan::build(&job.circuit, comm.size(), fusion, strategy);
+            run_baseline_rank(comm, &plan, dispatch, &control, recycled).map_err(cancelled)
+        }
         EngineKind::Hier | EngineKind::Dist => {
             let Some(PersistedPlan::Single(partition)) = &job.plan else {
                 return Err(NetError::Protocol(format!(
@@ -171,12 +165,12 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
             let BuiltPlan::Single(plan) = plan else {
                 return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
             };
-            run_fused_plan_rank_cancellable(
+            run_fused_plan_rank(
                 comm,
                 job.circuit.num_qubits(),
                 &plan,
                 dispatch,
-                cancel,
+                &control,
                 recycled,
             )
             .map_err(cancelled)
@@ -203,12 +197,12 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
             let BuiltPlan::Two(plan) = plan else {
                 return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
             };
-            run_two_level_plan_rank_cancellable(
+            run_two_level_plan_rank(
                 comm,
                 job.circuit.num_qubits(),
                 &plan,
                 dispatch,
-                cancel,
+                &control,
                 recycled,
             )
             .map_err(cancelled)

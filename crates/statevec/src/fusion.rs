@@ -8,21 +8,17 @@
 //! reduces the number of passes over the (inner or outer) state vector, the
 //! partitioner reduces the size of the vector each pass touches.
 //!
-//! Two fusion forms live here:
-//!
-//! * [`FusedCircuit`] — the engine-facing pipeline: commutation-aware
-//!   grouping into cost-model-gated dense groups, width-unlimited diagonal
-//!   runs executed as one blocked streaming pass, and solo fast-path gates,
-//!   with per-op kernel data (sparse rows, block classification) derived
-//!   once at build time. Every engine executes circuits through this form.
-//! * [`fuse_circuit`] — the minimal adjacent-only greedy scanner, kept as a
-//!   simple reference implementation and test oracle (dense groups only, no
-//!   reordering, no specialisation).
+//! The fused form is [`FusedCircuit`], the engine-facing pipeline:
+//! commutation-aware grouping into cost-model-gated dense groups,
+//! width-unlimited diagonal runs executed as one blocked streaming pass, and
+//! solo fast-path gates, with per-op kernel data (sparse rows, block
+//! classification) derived once at build time. Every engine executes
+//! circuits through this form.
 
 use crate::kernels::{
-    apply_gate_with_matrix_amps, apply_k_qubit, apply_k_qubit_prepared,
-    apply_k_qubit_prepared_amps, apply_single, apply_single_amps, apply_two_qubit_dense,
-    apply_two_qubit_dense_amps, ApplyOptions, SparseRows, MAX_STACK_KERNEL_QUBITS,
+    apply_gate_with_matrix_amps, apply_k_qubit_prepared, apply_k_qubit_prepared_amps, apply_single,
+    apply_single_amps, apply_two_qubit_dense, apply_two_qubit_dense_amps, ApplyOptions, SparseRows,
+    MAX_STACK_KERNEL_QUBITS,
 };
 use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
@@ -100,70 +96,6 @@ pub struct FusedGate {
     pub fused_count: usize,
 }
 
-impl FusedGate {
-    /// Apply this fused gate to a state vector.
-    pub fn apply(&self, state: &mut StateVector, opts: &ApplyOptions) {
-        apply_k_qubit(state, &self.qubits, &self.matrix, opts);
-    }
-}
-
-/// Fuse a circuit into dense multi-qubit unitaries of at most
-/// `max_fused_qubits` qubits each.
-///
-/// `max_fused_qubits` of 1 disables cross-qubit fusion but still merges runs
-/// of single-qubit gates on the same wire; typical values are 2–5 (larger
-/// matrices cost exponentially more arithmetic per amplitude, so there is a
-/// sweet spot, usually around 3–4 for CPU simulation).
-pub fn fuse_circuit(circuit: &Circuit, max_fused_qubits: usize) -> Vec<FusedGate> {
-    assert!(max_fused_qubits >= 1, "fusion width must be at least 1");
-    let mut fused: Vec<FusedGate> = Vec::new();
-    let mut group: Vec<usize> = Vec::new(); // gate indices of the open group
-    let mut group_qubits: Vec<Qubit> = Vec::new();
-
-    let flush =
-        |group: &mut Vec<usize>, group_qubits: &mut Vec<Qubit>, fused: &mut Vec<FusedGate>| {
-            if group.is_empty() {
-                return;
-            }
-            let qubits = std::mem::take(group_qubits);
-            let matrix = build_group_matrix(circuit, group, &qubits);
-            fused.push(FusedGate {
-                qubits,
-                matrix,
-                fused_count: group.len(),
-            });
-            group.clear();
-        };
-
-    for (index, gate) in circuit.gates().iter().enumerate() {
-        if gate.arity() > max_fused_qubits {
-            // Emit the open group, then the oversized gate on its own.
-            flush(&mut group, &mut group_qubits, &mut fused);
-            fused.push(FusedGate {
-                qubits: gate.qubits.clone(),
-                matrix: gate.matrix(),
-                fused_count: 1,
-            });
-            continue;
-        }
-        let mut union = group_qubits.clone();
-        for &q in &gate.qubits {
-            if !union.contains(&q) {
-                union.push(q);
-            }
-        }
-        if union.len() > max_fused_qubits {
-            flush(&mut group, &mut group_qubits, &mut fused);
-            group_qubits = gate.qubits.clone();
-        } else {
-            group_qubits = union;
-        }
-        group.push(index);
-    }
-    flush(&mut group, &mut group_qubits, &mut fused);
-    fused
-}
-
 /// Multiply the gates of a fusion group into one dense matrix over
 /// `group_qubits` (operand `j` of the fused gate = `group_qubits[j]`).
 fn build_group_matrix(circuit: &Circuit, group: &[usize], group_qubits: &[Qubit]) -> UnitaryMatrix {
@@ -198,16 +130,6 @@ fn build_group_matrix(circuit: &Circuit, group: &[usize], group_qubits: &[Qubit]
         total = embedded.matmul(&total);
     }
     total
-}
-
-/// Run a circuit from `|0…0⟩` through its fused form.
-pub fn run_fused(circuit: &Circuit, max_fused_qubits: usize, opts: &ApplyOptions) -> StateVector {
-    let fused = fuse_circuit(circuit, max_fused_qubits);
-    let mut state = StateVector::zero_state(circuit.num_qubits());
-    for op in &fused {
-        op.apply(&mut state, opts);
-    }
-    state
 }
 
 // ---------------------------------------------------------------------------
@@ -1533,32 +1455,16 @@ mod tests {
     use hisvsim_circuit::generators;
 
     #[test]
-    fn fused_execution_matches_unfused_across_suite() {
-        for name in generators::FAMILY_NAMES {
-            let circuit = generators::by_name(name, 8);
-            let expected = run_circuit(&circuit);
-            for width in [2usize, 3, 4] {
-                let got = run_fused(&circuit, width, &ApplyOptions::sequential());
-                assert!(
-                    got.approx_eq(&expected, 1e-9),
-                    "{name} fused at width {width} diverges (max diff {})",
-                    got.max_abs_diff(&expected)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fusion_reduces_the_operation_count() {
         let circuit = generators::by_name("qft", 10);
-        let fused = fuse_circuit(&circuit, 4);
+        let fused = FusedCircuit::new(&circuit, 4);
         assert!(
-            fused.len() < circuit.num_gates() / 2,
+            fused.num_ops() < circuit.num_gates() / 2,
             "fusion produced {} ops for {} gates",
-            fused.len(),
+            fused.num_ops(),
             circuit.num_gates()
         );
-        let total: usize = fused.iter().map(|f| f.fused_count).sum();
+        let total: usize = fused.ops().iter().map(|op| op.fused_count()).sum();
         assert_eq!(
             total,
             circuit.num_gates(),
@@ -1569,35 +1475,41 @@ mod tests {
     #[test]
     fn fused_matrices_are_unitary_and_within_width() {
         let circuit = generators::random_circuit(7, 60, 5);
-        for op in fuse_circuit(&circuit, 3) {
-            assert!(op.qubits.len() <= 3);
-            assert_eq!(op.matrix.dim(), 1 << op.qubits.len());
-            assert!(op.matrix.is_unitary(1e-9));
+        let fused = FusedCircuit::new(&circuit, 3);
+        let mut dense = 0;
+        for op in fused.ops() {
+            if let FusedOp::Dense(g) = op {
+                dense += 1;
+                assert!(g.qubits.len() <= 3);
+                assert_eq!(g.matrix.dim(), 1 << g.qubits.len());
+                assert!(g.matrix.is_unitary(1e-9));
+            }
         }
+        assert!(dense > 0, "no dense group formed");
     }
 
     #[test]
     fn oversized_gates_pass_through_unfused() {
         let circuit = generators::adder(8); // contains 3-qubit Toffolis
-        let fused = fuse_circuit(&circuit, 2);
+        let fused = FusedCircuit::new(&circuit, 2);
         assert!(fused
+            .ops()
             .iter()
-            .any(|f| f.qubits.len() == 3 && f.fused_count == 1));
-        let expected = run_circuit(&circuit);
-        let got = run_fused(&circuit, 2, &ApplyOptions::sequential());
-        assert!(got.approx_eq(&expected, 1e-9));
+            .any(|op| matches!(op, FusedOp::Solo(g, _) if g.qubits.len() == 3)));
+        let got = fused.run(&ApplyOptions::sequential());
+        assert!(got.approx_eq(&run_circuit(&circuit), 1e-9));
     }
 
     #[test]
     fn width_one_fusion_merges_single_qubit_runs() {
         let mut circuit = hisvsim_circuit::Circuit::new(2);
-        circuit.h(0).t(0).h(0).s(1).h(1);
-        let fused = fuse_circuit(&circuit, 1);
+        circuit.h(0).t(0).h(0).ry(0.4, 1).h(1);
+        let fused = FusedCircuit::new(&circuit, 1);
         // Two groups: the run on qubit 0 and the run on qubit 1.
-        assert_eq!(fused.len(), 2);
-        assert_eq!(fused[0].fused_count, 3);
-        assert_eq!(fused[1].fused_count, 2);
-        let got = run_fused(&circuit, 1, &ApplyOptions::sequential());
+        assert_eq!(fused.num_ops(), 2);
+        assert_eq!(fused.ops()[0].fused_count(), 3);
+        assert_eq!(fused.ops()[1].fused_count(), 2);
+        let got = fused.run(&ApplyOptions::sequential());
         assert!(got.approx_eq(&run_circuit(&circuit), 1e-12));
     }
 
@@ -1605,7 +1517,7 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_width_is_rejected() {
         let circuit = generators::cat_state(4);
-        let _ = fuse_circuit(&circuit, 0);
+        let _ = FusedCircuit::new(&circuit, 0);
     }
 
     // -- FusedCircuit (the engine-facing pipeline) --------------------------
